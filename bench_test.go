@@ -413,22 +413,38 @@ type reconfigBenchRow struct {
 	PauseMaxNS int64 `json:"pause_max_ns"`
 }
 
+// reconfigBenchShapes are the BenchmarkReconfigure rows: the live task count,
+// the live tasks' period, and the job pool (a few jobs are ever in flight
+// with long periods, so the 10k row does not preallocate a fiber per task).
+var reconfigBenchShapes = []struct {
+	tasks  int
+	period func(i int) time.Duration
+	pool   int
+}{
+	{8, func(i int) time.Duration { return time.Duration(5+i%7) * time.Millisecond }, 4 * (8 + 2)},
+	{64, func(i int) time.Duration { return time.Duration(5+i%7) * time.Millisecond }, 4 * (64 + 2)},
+	// 1–10 s periods keep 10k tasks admissible under the global EDF density
+	// (GFB) test: admission still analyses every live task.
+	{10000, func(i int) time.Duration { return time.Duration(1+i%10) * time.Second }, 1024},
+}
+
 // BenchmarkReconfigure measures live reconfiguration against a running
 // wall-clock application: each iteration admits a task in one transaction
 // and retires it in the next, with admission analysing the full live task
 // set. Reported metrics split the admission-path latency (whole call) from
 // the worst-case pause at the quiescent barrier; BENCH_reconfig.json feeds
-// the CI trend job.
+// the CI ratchet on call_avg_ns.
 func BenchmarkReconfigure(b *testing.B) {
 	rowByName := map[string]reconfigBenchRow{}
-	for _, nTasks := range []int{8, 64} {
+	for _, shape := range reconfigBenchShapes {
+		nTasks := shape.tasks
 		name := fmt.Sprintf("live-tasks-%d", nTasks)
 		b.Run(name, func(b *testing.B) {
 			env := rt.NewOSEnv()
 			env.Spin = false
 			app, err := core.New(core.Config{
 				Workers: 4, Priority: core.PriorityEDF,
-				MaxTasks: nTasks + 2, MaxPendingJobs: 4 * (nTasks + 2),
+				MaxTasks: nTasks + 2, MaxPendingJobs: shape.pool,
 			}, env)
 			if err != nil {
 				b.Fatal(err)
@@ -436,7 +452,7 @@ func BenchmarkReconfigure(b *testing.B) {
 			for i := 0; i < nTasks; i++ {
 				tid, err := app.TaskDecl(core.TData{
 					Name:   fmt.Sprintf("t%d", i),
-					Period: time.Duration(5+i%7) * time.Millisecond,
+					Period: shape.period(i),
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -516,8 +532,8 @@ func BenchmarkReconfigure(b *testing.B) {
 		})
 	}
 	rows := make([]reconfigBenchRow, 0, len(rowByName))
-	for _, n := range []int{8, 64} {
-		if row, ok := rowByName[fmt.Sprintf("live-tasks-%d", n)]; ok {
+	for _, shape := range reconfigBenchShapes {
+		if row, ok := rowByName[fmt.Sprintf("live-tasks-%d", shape.tasks)]; ok {
 			rows = append(rows, row)
 		}
 	}

@@ -51,15 +51,20 @@
 //
 //	yasmin-stress -corpus scenarios/corpus
 //
-// -ratchet BASE is the CI perf gate: it compares the "sched_tick"
-// ns-per-released-job rows of the current benchmark file (-out, default
-// BENCH_scale.json) against the committed baseline BASE and exits non-zero
-// when any shape regressed beyond -ratchet-tolerance (default 15%), so
-// scheduler speed wins are ratcheted rather than transient:
+// -ratchet BASE is the CI perf gate: it compares the rows of the current
+// benchmark file (-out, default BENCH_scale.json) against the committed
+// baseline BASE and exits non-zero when any shape regressed beyond
+// -ratchet-tolerance (default 15%), so speed wins are ratcheted rather than
+// transient. It reads the "sched_tick" ns-per-released-job rows of
+// BENCH_scale.json and the call_avg_ns rows of BENCH_reconfig.json:
 //
 //	cp BENCH_scale.json /tmp/base.json
 //	go test -bench BenchmarkSchedTick -benchtime=1x -run '^$' .
 //	yasmin-stress -ratchet /tmp/base.json
+//
+//	cp BENCH_reconfig.json /tmp/base-reconfig.json
+//	go test -bench BenchmarkReconfigure -benchtime=20x -run '^$' .
+//	yasmin-stress -ratchet /tmp/base-reconfig.json -out BENCH_reconfig.json
 package main
 
 import (
@@ -90,7 +95,7 @@ func main() {
 		shrinkFlag   = flag.Bool("shrink", false, "with -fuzz: minimise failing scenarios to small reproducers before reporting them")
 		diffFlag     = flag.Bool("diff", false, "with -fuzz/-corpus: additionally run each single-node scenario on the OS backend and diff checker-visible behaviour")
 		corpus       = flag.String("corpus", "", "replay every scenario file in this directory through the live checker and exit")
-		ratchet      = flag.String("ratchet", "", "compare \"sched_tick\" ns/released-job rows in the -out file (default BENCH_scale.json) against this baseline file and exit non-zero on regression beyond -ratchet-tolerance")
+		ratchet      = flag.String("ratchet", "", "compare the \"sched_tick\" ns/released-job rows (BENCH_scale.json) or call_avg_ns rows (BENCH_reconfig.json) in the -out file (default BENCH_scale.json) against this baseline file and exit non-zero on regression beyond -ratchet-tolerance")
 		ratchetTol   = flag.Float64("ratchet-tolerance", 0.15, "fractional regression tolerance for -ratchet (0.15 = 15%)")
 	)
 	flag.Parse()

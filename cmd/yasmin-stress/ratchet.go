@@ -7,72 +7,96 @@ import (
 	"sort"
 )
 
-// ratchetRow is the slice of a BenchmarkSchedTick "sched_tick" row the
-// ratchet compares; extra fields in the file are ignored.
-type ratchetRow struct {
-	Name             string  `json:"name"`
-	NsPerReleasedJob float64 `json:"ns_per_released_job"`
+// ratchetFile is what the ratchet reads out of a benchmark file: one ns
+// figure per shape, and the unit it is printed with. Two file shapes are
+// understood, told apart by their JSON: a BENCH_scale.json document (an
+// object whose "sched_tick" rows carry ns_per_released_job) and a
+// BENCH_reconfig.json row list (an array whose rows carry call_avg_ns).
+// Extra fields are ignored.
+type ratchetFile struct {
+	unit string
+	ns   map[string]float64
 }
 
-// loadSchedTick reads the "sched_tick" rows out of a BENCH_scale.json-shaped
-// file, keyed by shape name.
-func loadSchedTick(path string) (map[string]ratchetRow, error) {
+// loadRatchet reads the ratcheted rows of a benchmark file, keyed by shape
+// name.
+func loadRatchet(path string) (ratchetFile, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return ratchetFile{}, err
 	}
-	var doc struct {
-		SchedTick []ratchetRow `json:"sched_tick"`
+	var reconfig []struct {
+		Name      string  `json:"name"`
+		CallAvgNS float64 `json:"call_avg_ns"`
 	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	var scale struct {
+		SchedTick []struct {
+			Name             string  `json:"name"`
+			NsPerReleasedJob float64 `json:"ns_per_released_job"`
+		} `json:"sched_tick"`
 	}
-	if len(doc.SchedTick) == 0 {
-		return nil, fmt.Errorf("%s: no \"sched_tick\" rows", path)
+	f := ratchetFile{ns: map[string]float64{}}
+	if json.Unmarshal(data, &reconfig) == nil {
+		f.unit = "ns/reconfigure-call"
+		for _, r := range reconfig {
+			f.ns[r.Name] = r.CallAvgNS
+		}
+	} else if err := json.Unmarshal(data, &scale); err == nil {
+		f.unit = "ns/released-job"
+		for _, r := range scale.SchedTick {
+			f.ns[r.Name] = r.NsPerReleasedJob
+		}
+	} else {
+		return ratchetFile{}, fmt.Errorf("%s: %w", path, err)
 	}
-	rows := make(map[string]ratchetRow, len(doc.SchedTick))
-	for _, r := range doc.SchedTick {
-		rows[r.Name] = r
+	if len(f.ns) == 0 {
+		return ratchetFile{}, fmt.Errorf("%s: no \"sched_tick\" or reconfiguration rows", path)
 	}
-	return rows, nil
+	return f, nil
 }
 
-// ratchetMain is the CI perf ratchet: compare the freshly benchmarked
-// ns-per-released-job of every sched_tick shape in curPath against the
+// ratchetMain is the CI perf ratchet: compare the freshly benchmarked figure
+// of every shape in curPath — ns-per-released-job of the sched_tick shapes,
+// or the average Reconfigure call of the reconfiguration rows — against the
 // committed baseline in basePath and fail on a regression beyond tol
 // (fractional, e.g. 0.15 = 15%). Shapes present in the baseline must still
 // exist in the current run — dropping a shape would silently un-ratchet it —
 // while new shapes pass unchecked (their first committed run becomes the
 // baseline). Improvements are reported so maintainers know when to commit a
-// tighter BENCH_scale.json; 0 = within tolerance.
+// tighter baseline file; 0 = within tolerance.
 func ratchetMain(basePath, curPath string, tol float64, quiet bool) int {
-	base, err := loadSchedTick(basePath)
+	base, err := loadRatchet(basePath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "yasmin-stress: ratchet baseline: %v\n", err)
 		return 2
 	}
-	cur, err := loadSchedTick(curPath)
+	cur, err := loadRatchet(curPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "yasmin-stress: ratchet current: %v\n", err)
 		return 2
 	}
-	names := make([]string, 0, len(base))
-	for name := range base { //yasmin:orderinvariant sorted below
+	if base.unit != cur.unit {
+		fmt.Fprintf(os.Stderr, "yasmin-stress: ratchet: baseline %s holds %s rows, %s holds %s rows\n",
+			basePath, base.unit, curPath, cur.unit)
+		return 2
+	}
+	names := make([]string, 0, len(base.ns))
+	for name := range base.ns { //yasmin:orderinvariant sorted below
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	rc := 0
 	for _, name := range names {
-		b := base[name]
-		c, ok := cur[name]
+		b := base.ns[name]
+		c, ok := cur.ns[name]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "yasmin-stress: ratchet: shape %s in baseline but missing from %s\n", name, curPath)
 			rc = 1
 			continue
 		}
-		delta := (c.NsPerReleasedJob - b.NsPerReleasedJob) / b.NsPerReleasedJob
-		line := fmt.Sprintf("ratchet %-28s %9.0f -> %9.0f ns/released-job (%+.1f%%, tolerance %.0f%%)",
-			name, b.NsPerReleasedJob, c.NsPerReleasedJob, delta*100, tol*100)
+		delta := (c - b) / b
+		line := fmt.Sprintf("ratchet %-28s %9.0f -> %9.0f %s (%+.1f%%, tolerance %.0f%%)",
+			name, b, c, base.unit, delta*100, tol*100)
 		if delta > tol {
 			fmt.Fprintf(os.Stderr, "yasmin-stress: %s: REGRESSION\n", line)
 			rc = 1

@@ -190,14 +190,11 @@ func admitUniprocessor(set *taskset.Set, adm Admission, where string) (Result, e
 // guard (sets passing it are also FP-schedulable under the density argument
 // delta_max <= 1 per processor).
 func admitDensity(set *taskset.Set, m int, test string) Result {
-	if GlobalEDFGFBTest(set, m) && densest(set).Density() <= 1.0+1e-12 {
+	sum, maxd := densities(set)
+	if gfb(sum, maxd, m) && maxd <= 1.0+1e-12 {
 		return Result{Schedulable: true, Test: test}
 	}
 	t := densest(set)
-	var sum float64
-	for i := range set.Tasks {
-		sum += set.Tasks[i].Density()
-	}
 	return Result{
 		Offender: t.Name,
 		Test:     test,
@@ -232,10 +229,10 @@ func priorityOrder(set *taskset.Set, key []int64) []int {
 
 // densest returns the task with the highest density (ties: first declared).
 func densest(set *taskset.Set) *taskset.Task {
-	best := &set.Tasks[0]
+	best, bestD := &set.Tasks[0], set.Tasks[0].Density()
 	for i := 1; i < len(set.Tasks); i++ {
-		if set.Tasks[i].Density() > best.Density() {
-			best = &set.Tasks[i]
+		if d := set.Tasks[i].Density(); d > bestD {
+			best, bestD = &set.Tasks[i], d
 		}
 	}
 	return best

@@ -220,10 +220,12 @@ func UtilizationFits(cap float64) func(*taskset.Set) bool {
 // delta_sum <= m - (m-1) * delta_max, using densities for constrained
 // deadlines. Sufficient, not necessary.
 func GlobalEDFGFBTest(s *taskset.Set, m int) bool {
-	if m <= 0 {
-		return false
-	}
-	var sum, maxd float64
+	sum, maxd := densities(s)
+	return gfb(sum, maxd, m)
+}
+
+// densities returns the density sum and the largest density of a set.
+func densities(s *taskset.Set) (sum, maxd float64) {
 	for i := range s.Tasks {
 		d := s.Tasks[i].Density()
 		sum += d
@@ -231,5 +233,10 @@ func GlobalEDFGFBTest(s *taskset.Set, m int) bool {
 			maxd = d
 		}
 	}
-	return sum <= float64(m)-(float64(m)-1)*maxd+1e-12
+	return sum, maxd
+}
+
+// gfb is the GFB condition on m processors over precomputed densities.
+func gfb(sum, maxd float64, m int) bool {
+	return m > 0 && sum <= float64(m)-(float64(m)-1)*maxd+1e-12
 }

@@ -42,13 +42,15 @@ func (b BlockingTerm) String() string {
 // higher-priority task uses it (direct and push-through blocking). A pool
 // with at least as many instances as tasks touching it never blocks — an
 // instance is always free — so growing a pool genuinely buys admission
-// headroom. Summing over pools is sufficient (safe), not tight.
+// headroom. Summing over pools is sufficient (safe), not tight. When no
+// task uses a pool the result is nil: nobody blocks, and an admission over
+// a CPU-only set pays nothing per task.
 func PIPBlocking(set *taskset.Set, key []int64) []BlockingTerm {
+	if !usesPool(set) {
+		return nil
+	}
 	n := set.Len()
 	out := make([]BlockingTerm, n)
-	if n == 0 {
-		return out
-	}
 	if key == nil {
 		key = make([]int64, n)
 		for i := range set.Tasks {
@@ -83,9 +85,6 @@ func PIPBlocking(set *taskset.Set, key []int64) []BlockingTerm {
 				counts[u.Pool] = cnt
 			}
 		}
-	}
-	if len(pools) == 0 {
-		return out
 	}
 	names := make([]string, 0, len(pools))
 	for name := range pools {
@@ -129,9 +128,25 @@ func PIPBlocking(set *taskset.Set, key []int64) []BlockingTerm {
 	return out
 }
 
+// usesPool reports whether any task holds a critical section on a pool.
+func usesPool(set *taskset.Set) bool {
+	for i := range set.Tasks {
+		for _, u := range set.Tasks[i].Accels {
+			if u.Pool != "" && u.CS > 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // Durations projects the blocking terms onto the plain per-task durations
-// the admission tests consume.
+// the admission tests consume; nil terms (no pool in use) project to nil,
+// which the tests read as "no blocking".
 func Durations(terms []BlockingTerm) []time.Duration {
+	if terms == nil {
+		return nil
+	}
 	out := make([]time.Duration, len(terms))
 	for i := range terms {
 		out[i] = terms[i].Dur

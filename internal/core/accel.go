@@ -378,12 +378,16 @@ func (a *App) AccelPoolSize(h HID) int {
 	return len(a.poolMembers(h))
 }
 
-// accelUsesLocked returns a task's worst-case critical section on EVERY
-// pool its versions can run on, for the blocking-aware admission test
+// accelUses returns a task's worst-case critical section on EVERY pool its
+// versions can run on, for the blocking-aware admission test
 // (VSelect.AccelCS; the whole version WCET when undeclared —
 // conservative). Version selection is dynamic, so omitting any pool would
-// make the analysis unsound. Caller holds the lock.
-func (a *App) accelUsesLocked(t *task) []taskset.AccelUse {
+// make the analysis unsound. Caller holds reconfigMu: versions and pools
+// change only at declaration time or on a slot the open transaction staged.
+func (a *App) accelUses(t *task) []taskset.AccelUse {
+	if a.naccels == 0 {
+		return nil
+	}
 	var uses []taskset.AccelUse
 	for vi := range t.versions {
 		v := &t.versions[vi]

@@ -142,6 +142,27 @@ type App struct {
 	modes             map[string]ModePreset
 	modeName          atomic.Pointer[string]
 
+	// names indexes every declared, staged or draining task slot by name;
+	// retired slots leave it. names[n] heads a chain of the slots holding n,
+	// linked through task.nameNext (more than one only while an incarnation
+	// drains beside its successor). It is written where names enter and
+	// leave the tables — TaskDecl, Reconfig.AddTask, rollback,
+	// finishRetireLocked and Init — so a lookup by name costs
+	// O(incarnations of that name), not a scan of every slot. namesMu, a
+	// leaf, guards the map and links: a drain finishing on a job path
+	// unindexes its slot while task code may be looking a name up.
+	//yasmin:lockrank 5 nosleep
+	namesMu sync.Mutex
+	names   map[string]TID
+	// walk is the visited set of graph walks (graphDeadlineFor, the commit's
+	// cycle check and re-derivation closure, admission's root-timing walk).
+	// Every walk runs under reconfigMu: Start and commits hold it.
+	walk stampSet
+	// rs is the transaction working set, guarded by reconfigMu, sized by
+	// the first transaction and reused by every later one (see
+	// reconfigScratch).
+	rs reconfigScratch
+
 	mode    atomic.Uint32
 	maskBit atomic.Uint32
 
@@ -198,6 +219,11 @@ func New(cfg Config, env rt.Env) (*App, error) {
 	a.vselRest = make([]VID, 0, cfg.MaxVersionsPerTask)
 	a.topics = make([]topic, cfg.MaxChannels)
 	a.edges = make([]edge, cfg.MaxChannels)
+	for i := range a.edges {
+		a.edges[i].idx = i
+	}
+	a.names = make(map[string]TID, cfg.MaxTasks)
+	a.walk.stamp = make([]uint32, cfg.MaxTasks)
 	a.jobPool = make([]job, cfg.MaxPendingJobs)
 	// One shard (ready queue + wheel + leaf lock) per worker, regardless of
 	// mapping: global routes tasks by id modulo shard count and lets idle
@@ -237,6 +263,9 @@ func New(cfg Config, env rt.Env) (*App, error) {
 // It clears all declarations; it must not be called while started.
 func (a *App) Init() {
 	a.ntasks = 0
+	a.namesMu.Lock()
+	clear(a.names)
+	a.namesMu.Unlock()
 	a.naccels = 0
 	a.ntopics = 0
 	a.ntopicsA.Store(0)
@@ -390,6 +419,7 @@ func resetTaskSlot(t *task, id TID) {
 	t.id = id
 	t.d = TData{}
 	t.versions = t.versions[:0]
+	t.wcet = 0
 	t.state = taskAdmitted
 	t.shard.Store(0)
 	t.live.Store(0)
@@ -430,6 +460,7 @@ func (a *App) TaskDecl(d TData) (TID, error) {
 		return -1, err
 	}
 	t.d = d
+	a.indexName(t)
 	return id, nil
 }
 
@@ -443,6 +474,12 @@ func (a *App) VersionDecl(t TID, fn TaskFunc, args any, props VSelect) (VID, err
 	if err != nil {
 		return -1, err
 	}
+	return tk.appendVersion(fn, args, props)
+}
+
+// appendVersion adds an implementation to a declared or staged task,
+// keeping its admission WCET current.
+func (tk *task) appendVersion(fn TaskFunc, args any, props VSelect) (VID, error) {
 	if fn == nil {
 		return -1, fmt.Errorf("core: task %s: nil version function", tk.d.Name)
 	}
@@ -451,6 +488,7 @@ func (a *App) VersionDecl(t TID, fn TaskFunc, args any, props VSelect) (VID, err
 	}
 	id := VID(len(tk.versions))
 	tk.versions = append(tk.versions, version{id: id, fn: fn, args: args, props: props, accel: NoAccel})
+	tk.wcet = max(tk.wcet, props.WCET)
 	return id, nil
 }
 
@@ -592,13 +630,14 @@ func (a *App) connect(src, dst TID, c CID, delay int) error {
 		return fmt.Errorf("%w: MaxChannels=%d edges", ErrTooMany, len(a.edges))
 	}
 	e := a.allocEdgeSlot()
-	*e = edge{src: src, dst: dst, ch: c, initial: delay, stamps: e.stamps}
+	*e = edge{idx: e.idx, src: src, dst: dst, ch: c, initial: delay, stamps: e.stamps}
 	if cap(e.stamps) < a.cfg.GraphInstanceCap {
 		e.stamps = make([]time.Duration, a.cfg.GraphInstanceCap)
 	} else {
 		e.stamps = e.stamps[:a.cfg.GraphInstanceCap]
 	}
 	e.head, e.count, e.tokens = 0, 0, 0
+	a.linkEdgeLocked(e)
 	return nil
 }
 
@@ -629,26 +668,70 @@ func (a *App) taskByID(t TID) (*task, error) {
 	return tk, nil
 }
 
-// taskIDByName returns the most recently declared non-retired task with the
-// given name, or -1. Draining incarnations are only returned when no
-// running/admitted task holds the name (name reuse across a drain).
-func (a *App) taskIDByName(name string) TID {
-	best := TID(-1)
-	for i := 0; i < a.ntasks; i++ {
-		t := &a.tasks[i]
-		if t.d.Name != name {
-			continue
+// indexName enters a slot whose name was just set into the name index.
+// Caller holds App.mu or runs with the schedule stopped.
+func (a *App) indexName(t *task) {
+	a.namesMu.Lock()
+	t.nameNext = -1
+	if head, ok := a.names[t.d.Name]; ok {
+		t.nameNext = head
+	}
+	a.names[t.d.Name] = t.id
+	a.namesMu.Unlock()
+}
+
+// unindexName removes a slot that is about to retire from the name index.
+// Caller holds App.mu or runs with the schedule stopped.
+func (a *App) unindexName(t *task) {
+	a.namesMu.Lock()
+	defer a.namesMu.Unlock()
+	head, ok := a.names[t.d.Name]
+	if !ok {
+		return
+	}
+	if head == t.id {
+		if t.nameNext < 0 {
+			delete(a.names, t.d.Name)
+		} else {
+			a.names[t.d.Name] = t.nameNext
 		}
-		switch t.state {
+		return
+	}
+	for prev := &a.tasks[head]; prev.nameNext >= 0; prev = &a.tasks[prev.nameNext] {
+		if prev.nameNext == t.id {
+			prev.nameNext = t.nameNext
+			return
+		}
+	}
+}
+
+// taskIDByName returns the live task holding name, or -1: the highest-slot
+// running or admitted incarnation, else the lowest-slot draining one (name
+// reuse across a drain). Staged slots are skipped.
+//
+//yasmin:noalloc
+func (a *App) taskIDByName(name string) TID {
+	a.namesMu.Lock()
+	defer a.namesMu.Unlock()
+	id, ok := a.names[name]
+	if !ok {
+		return -1
+	}
+	live, draining := TID(-1), TID(-1)
+	for ; id >= 0; id = a.tasks[id].nameNext {
+		switch a.tasks[id].state {
 		case taskAdmitted, taskRunning:
-			best = t.id
+			live = max(live, id)
 		case taskDraining:
-			if best < 0 {
-				best = t.id
+			if draining < 0 || id < draining {
+				draining = id
 			}
 		}
 	}
-	return best
+	if live >= 0 {
+		return live
+	}
+	return draining
 }
 
 // TaskIDByName returns the TID of the named live task, or -1. Like the other
@@ -811,44 +894,67 @@ func (a *App) homeShardOf(t *task) int {
 }
 
 // graphDeadlineFor walks back to the graph roots and returns the smallest
-// root relative deadline (conservative).
+// root relative deadline (conservative). Caller holds reconfigMu (the walk
+// scratch).
 func (a *App) graphDeadlineFor(t *task) time.Duration {
-	best := time.Duration(0)
-	seen := make(map[TID]bool, a.ntasks)
-	var walk func(x *task)
-	walk = func(x *task) {
-		if seen[x.id] {
-			return
-		}
-		seen[x.id] = true
-		if len(x.inEdges) == 0 {
-			d := x.d.Deadline
-			if d == 0 {
-				d = x.d.Period
-			}
-			if d > 0 && (best == 0 || d < best) {
-				best = d
-			}
-			return
-		}
-		for _, e := range x.inEdges {
-			walk(&a.tasks[e.src])
-		}
-	}
-	walk(t)
+	a.walk.reset()
+	best := a.rootDeadline(t, 0)
 	if best == 0 {
 		best = time.Second // degenerate: no rooted period found
 	}
 	return best
 }
 
+// rootDeadline folds the root relative deadlines reachable backwards from x
+// into best, skipping slots the current walk already visited.
+func (a *App) rootDeadline(x *task, best time.Duration) time.Duration {
+	if !a.walk.mark(int(x.id)) {
+		return best
+	}
+	if len(x.inEdges) == 0 {
+		d := x.d.Deadline
+		if d == 0 {
+			d = x.d.Period
+		}
+		if d > 0 && (best == 0 || d < best) {
+			best = d
+		}
+		return best
+	}
+	for _, e := range x.inEdges {
+		best = a.rootDeadline(&a.tasks[e.src], best)
+	}
+	return best
+}
+
+// stampSet is a visited set over task slots (or merged rows) that resets
+// in O(1): a slot is marked when its stamp equals the current walk's, so a
+// new walk bumps one counter instead of clearing a flag per slot.
+type stampSet struct {
+	stamp []uint32
+	cur   uint32
+}
+
+// reset starts a new walk with every slot unmarked.
+func (s *stampSet) reset() {
+	s.cur++
+	if s.cur == 0 { // wrapped: stale stamps could collide, clear them once
+		clear(s.stamp)
+		s.cur = 1
+	}
+}
+
+// mark marks slot i and reports whether it was unmarked.
+func (s *stampSet) mark(i int) bool {
+	if s.stamp[i] == s.cur {
+		return false
+	}
+	s.stamp[i] = s.cur
+	return true
+}
+
 func (a *App) checkAcyclic() error {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make([]int, a.ntasks)
+	color := make([]uint8, a.ntasks)
 	var visit func(i int) error
 	visit = func(i int) error {
 		color[i] = grey
@@ -886,12 +992,11 @@ func (a *App) checkAcyclic() error {
 func (a *App) schedGCD() time.Duration {
 	var g time.Duration
 	acc := func(d time.Duration) {
-		if d <= 0 {
-			return
-		}
-		if g == 0 {
+		switch {
+		case d <= 0:
+		case g == 0:
 			g = d
-		} else {
+		case d%g != 0: // a multiple of the grid leaves it unchanged
 			g = gcdDur(g, d)
 		}
 	}
@@ -1057,6 +1162,7 @@ func (a *App) freeJob(c rt.Ctx, j *job) {
 // of the retiring task), not O(topics declared), keeping cursor scans off
 // the reconfiguration hot path. Caller holds the lock.
 func (a *App) finishRetireLocked(t *task, now time.Duration) {
+	a.unindexName(t)
 	a.setTaskStateLocked(t, taskRetired)
 	t.draining.Store(false)
 	for _, c := range t.pubTopics {

@@ -13,6 +13,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -66,17 +67,78 @@ type stagedEdge struct {
 	delay    int
 }
 
-// mergedTask is the validation/admission view of one task of the target
-// configuration (post-drain steady state). accels carries the task's worst
-// critical section per accelerator pool for the blocking-aware admission
-// test.
+// mergedTask is one row of the target configuration (post-drain steady
+// state) that validate builds and admit consumes: the task slot and the
+// parameters the transaction leaves it with — a staged retune's, else the
+// slot's own.
 type mergedTask struct {
-	id     TID
-	d      TData
-	wcet   time.Duration
-	nver   int
-	staged bool
-	accels []taskset.AccelUse
+	id TID
+	d  *TData
+}
+
+// mergedEdge is one edge of the target configuration, between merged rows.
+type mergedEdge struct{ src, dst, delay int32 }
+
+// rowRemoved marks, inside validate, a slot the transaction removes.
+const rowRemoved = -2
+
+// reconfigScratch is the working set of validate, admit and commit. It is
+// App-owned and guarded by reconfigMu; the first transaction sizes it from
+// the static budgets (MaxTasks, MaxChannels) — applications that never
+// reconfigure do not pay for it — and every later one reuses it, so
+// validating and admitting a transaction allocates nothing however many
+// tasks are live.
+type reconfigScratch struct {
+	merged []mergedTask
+	row    []int32 // task slot -> merged row; -1 outside the target
+	edges  []mergedEdge
+	// Predecessors (every edge) and zero-delay successors of each merged
+	// row as flat CSR arrays: row i's predecessors are
+	// pred[predOff[i]:predOff[i+1]], in edge-slot order.
+	predOff, pred []int32
+	succOff, succ []int32
+	zeroIn        []bool  // row has a zero-delay in-edge
+	color         []uint8 // cycle-check DFS colours
+	set           taskset.Set
+	keys          []int64
+	cores         []int // virtual cores, under the partitioned mapping only
+
+	// Commit: the severed edges in slot order, their endpoints, and the
+	// tasks to re-derive.
+	severed     []*edge
+	severedEnds []stagedEdge
+	dirty       []*task
+}
+
+// scratch returns the transaction working set, sizing it on the first
+// transaction. Caller holds reconfigMu.
+func (a *App) scratch() *reconfigScratch {
+	if a.rs.row == nil {
+		a.rs = newReconfigScratch(a.cfg)
+	}
+	return &a.rs
+}
+
+// newReconfigScratch sizes the transaction working set for cfg's budgets.
+func newReconfigScratch(cfg Config) reconfigScratch {
+	n, m := cfg.MaxTasks, cfg.MaxChannels
+	s := reconfigScratch{
+		merged:  make([]mergedTask, 0, n),
+		row:     make([]int32, n),
+		edges:   make([]mergedEdge, 0, m),
+		predOff: make([]int32, n+1),
+		pred:    make([]int32, m),
+		succOff: make([]int32, n+1),
+		succ:    make([]int32, m),
+		zeroIn:  make([]bool, n),
+		color:   make([]uint8, n),
+		set:     taskset.Set{Tasks: make([]taskset.Task, 0, n)},
+		keys:    make([]int64, 0, n),
+	}
+	if cfg.Mapping == MappingPartitioned {
+		s.cores = make([]int, 0, n)
+	}
+	return s
 }
 
 // Reconfig is a live-reconfiguration transaction. All operations stage
@@ -98,14 +160,12 @@ type Reconfig struct {
 	removeOrder      []TID
 	removeTopics     map[CID]bool
 	removeTopicOrder []CID
-	retunes          map[TID]TData
-	retuneOrder      []TID
-	pubs, subs       []reconfigEndpoint
-	mode             *uint32
-
-	// merged model built by validate, reused by admit.
-	merged []mergedTask
-	preds  [][]int // indices into merged
+	// retunes maps a retuned task to its entry in retuneOrder/retuneData.
+	retunes     map[TID]int
+	retuneOrder []TID
+	retuneData  []TData
+	pubs, subs  []reconfigEndpoint
+	mode        *uint32
 }
 
 // Reconfigure runs one transactional reconfiguration: fn stages the changes,
@@ -164,7 +224,7 @@ func (a *App) PrepareReconfigure(c rt.Ctx, fn func(tx *Reconfig) error) (*Prepar
 		c:            c,
 		removeTasks:  make(map[TID]bool),
 		removeTopics: make(map[CID]bool),
-		retunes:      make(map[TID]TData),
+		retunes:      make(map[TID]int),
 	}
 	// Roll back on every failed exit — including a panic inside fn — so
 	// staged slots never leak from an abandoned transaction.
@@ -341,10 +401,8 @@ func (tx *Reconfig) AddTask(d TData) (TID, error) {
 			return -1, fmt.Errorf("core: task %q already declared", d.Name)
 		}
 	}
-	for _, id := range tx.addedTasks {
-		if a.tasks[id].d.Name == d.Name {
-			return -1, fmt.Errorf("core: task %q staged twice", d.Name)
-		}
+	if a.stagedByName(d.Name) >= 0 {
+		return -1, fmt.Errorf("core: task %q staged twice", d.Name)
 	}
 	t, id, err := a.allocTaskSlot()
 	if err != nil {
@@ -352,8 +410,27 @@ func (tx *Reconfig) AddTask(d TData) (TID, error) {
 	}
 	t.d = d
 	a.setTaskStateLocked(t, taskStaged)
+	a.indexName(t)
 	tx.addedTasks = append(tx.addedTasks, id)
 	return id, nil
+}
+
+// stagedByName returns the slot the open transaction staged under name, or
+// -1; transactions serialise on reconfigMu, so every staged slot is the
+// open transaction's. Caller holds App.mu.
+func (a *App) stagedByName(name string) TID {
+	a.namesMu.Lock()
+	defer a.namesMu.Unlock()
+	id, ok := a.names[name]
+	if !ok {
+		return -1
+	}
+	for ; id >= 0; id = a.tasks[id].nameNext {
+		if a.tasks[id].state == taskStaged {
+			return id
+		}
+	}
+	return -1
 }
 
 // AddVersion stages an implementation for a task added in this transaction
@@ -362,16 +439,7 @@ func (tx *Reconfig) AddVersion(t TID, fn TaskFunc, args any, props VSelect) (VID
 	if !tx.isStagedTask(t) {
 		return -1, fmt.Errorf("core: AddVersion targets a task not added by this transaction")
 	}
-	tk := &tx.a.tasks[t]
-	if fn == nil {
-		return -1, fmt.Errorf("core: task %s: nil version function", tk.d.Name)
-	}
-	if len(tk.versions) == cap(tk.versions) {
-		return -1, fmt.Errorf("%w: MaxVersionsPerTask=%d", ErrTooMany, cap(tk.versions))
-	}
-	id := VID(len(tk.versions))
-	tk.versions = append(tk.versions, version{id: id, fn: fn, args: args, props: props, accel: NoAccel})
-	return id, nil
+	return tx.a.tasks[t].appendVersion(fn, args, props)
 }
 
 // UseAccel stages an accelerator binding for a staged task's version.
@@ -525,10 +593,13 @@ func (tx *Reconfig) Retune(t TID, d TData) error {
 	if err := validateTData(d); err != nil {
 		return err
 	}
-	if _, dup := tx.retunes[t]; !dup {
-		tx.retuneOrder = append(tx.retuneOrder, t)
+	if k, dup := tx.retunes[t]; dup {
+		tx.retuneData[k] = d
+		return nil
 	}
-	tx.retunes[t] = d
+	tx.retunes[t] = len(tx.retuneOrder)
+	tx.retuneOrder = append(tx.retuneOrder, t)
+	tx.retuneData = append(tx.retuneData, d)
 	return nil
 }
 
@@ -650,10 +721,8 @@ func (tx *Reconfig) TaskID(name string) TID {
 	a := tx.a
 	a.mu.Lock(tx.c)
 	defer a.mu.Unlock(tx.c)
-	for _, id := range tx.addedTasks {
-		if a.tasks[id].d.Name == name {
-			return id
-		}
+	if id := a.stagedByName(name); id >= 0 {
+		return id
 	}
 	if id := a.taskIDByName(name); id >= 0 && !tx.removeTasks[id] &&
 		(a.tasks[id].state == taskRunning || a.tasks[id].state == taskAdmitted) {
@@ -702,8 +771,9 @@ func (tx *Reconfig) rollback() {
 	defer a.mu.Unlock(tx.c)
 	for _, id := range tx.addedTasks {
 		t := &a.tasks[id]
+		a.unindexName(t)
 		a.setTaskStateLocked(t, taskRetired)
-		t.versions = t.versions[:0]
+		t.versions, t.wcet = t.versions[:0], 0
 		a.freeTaskSlots = append(a.freeTaskSlots, int(id))
 	}
 	for _, id := range tx.addedTopics {
@@ -715,54 +785,51 @@ func (tx *Reconfig) rollback() {
 // validate checks the whole batch against the merged target configuration:
 // structural rules (the same ones Start's resolve enforces), removal
 // coverage and static capacity. It also builds the merged model admission
-// reuses.
+// reuses, in the App-owned scratch (no allocation).
 func (tx *Reconfig) validate() error {
 	a := tx.a
+	s := a.scratch()
 	a.mu.Lock(tx.c)
 	defer a.mu.Unlock(tx.c)
 
-	// Merged task list: alive tasks (with retunes applied) minus removals,
-	// plus staged ones.
-	index := make(map[TID]int)
-	for i := 0; i < a.ntasks; i++ {
+	// Merged rows: alive tasks minus removals in slot order, then staged
+	// ones; a staged retune replaces its row's parameters. Every row entry
+	// up to ntasks is rewritten, so no rowRemoved mark outlives the pass.
+	// The first row without a version is noted while its slot is at hand
+	// and reported in row order with the other structural rules below.
+	row := s.row[:a.ntasks]
+	for _, id := range tx.removeOrder {
+		row[id] = rowRemoved
+	}
+	merged := s.merged[:0]
+	noVersion := int32(-1)
+	addRow := func(t *task) {
+		if noVersion < 0 && len(t.versions) == 0 {
+			noVersion = int32(len(merged))
+		}
+		row[t.id] = int32(len(merged))
+		merged = append(merged, mergedTask{id: t.id, d: &t.d})
+	}
+	for i := range row {
 		t := &a.tasks[i]
-		if t.state != taskRunning && t.state != taskAdmitted {
-			continue
+		live := (t.state == taskRunning || t.state == taskAdmitted) && row[i] != rowRemoved
+		row[i] = -1
+		if live {
+			addRow(t)
 		}
-		if tx.removeTasks[t.id] {
-			continue
-		}
-		d := t.d
-		if rd, ok := tx.retunes[t.id]; ok {
-			d = rd
-		}
-		var wcet time.Duration
-		for vi := range t.versions {
-			if w := t.versions[vi].props.WCET; w > wcet {
-				wcet = w
-			}
-		}
-		index[t.id] = len(tx.merged)
-		tx.merged = append(tx.merged, mergedTask{id: t.id, d: d, wcet: wcet, nver: len(t.versions),
-			accels: a.accelUsesLocked(t)})
 	}
 	for _, id := range tx.addedTasks {
-		t := &a.tasks[id]
-		var wcet time.Duration
-		for vi := range t.versions {
-			if w := t.versions[vi].props.WCET; w > wcet {
-				wcet = w
-			}
-		}
-		index[id] = len(tx.merged)
-		tx.merged = append(tx.merged, mergedTask{id: id, d: t.d, wcet: wcet, nver: len(t.versions), staged: true,
-			accels: a.accelUsesLocked(t)})
+		addRow(&a.tasks[id])
 	}
+	for k, id := range tx.retuneOrder {
+		merged[row[id]].d = &tx.retuneData[k]
+	}
+	s.merged = merged
+	n := len(merged)
 
 	// Merged edge relation: alive edges not severed by the transaction,
 	// plus staged ones.
-	type medge struct{ src, dst, delay int }
-	var edges []medge
+	edges := s.edges[:0]
 	dying := 0
 	for i := 0; i < a.nedges; i++ {
 		e := &a.edges[i]
@@ -773,55 +840,45 @@ func (tx *Reconfig) validate() error {
 			dying++
 			continue
 		}
-		si, sok := index[e.src]
-		di, dok := index[e.dst]
-		if !sok || !dok {
+		si, di := row[e.src], row[e.dst]
+		if si < 0 || di < 0 {
 			continue // endpoints draining from an earlier epoch
 		}
-		edges = append(edges, medge{src: si, dst: di, delay: e.initial})
+		edges = append(edges, mergedEdge{src: si, dst: di, delay: int32(e.initial)})
 	}
 	for _, se := range tx.stagedEdges {
-		si, sok := index[se.src]
-		di, dok := index[se.dst]
-		if !sok || !dok {
+		si, di := row[se.src], row[se.dst]
+		if si < 0 || di < 0 {
 			return fmt.Errorf("core: staged edge %d->%d references a task outside the target configuration", se.src, se.dst)
 		}
-		edges = append(edges, medge{src: si, dst: di, delay: se.delay})
+		edges = append(edges, mergedEdge{src: si, dst: di, delay: int32(se.delay)})
 	}
+	s.edges = edges
 
 	// Static capacity: staged edges must fit the recycled + unused slots.
+	// Past this check the merged edges fit the MaxChannels-sized CSR arrays.
 	freeEdges := len(tx.a.freeEdgeSlots) + (len(a.edges) - a.nedges) + dying
 	if len(tx.stagedEdges) > freeEdges {
 		return fmt.Errorf("%w: %d staged edges, %d edge slots free (MaxChannels=%d)",
 			ErrTooMany, len(tx.stagedEdges), freeEdges, len(a.edges))
 	}
+	s.buildCSR(n)
 
 	// Per-task structural rules on the target configuration.
-	tx.preds = make([][]int, len(tx.merged))
-	succ := make([][]int, len(tx.merged))
-	zeroDelayIn := make([]bool, len(tx.merged))
-	hasIn := make([]bool, len(tx.merged))
-	for _, e := range edges {
-		tx.preds[e.dst] = append(tx.preds[e.dst], e.src)
-		hasIn[e.dst] = true
-		if e.delay == 0 {
-			succ[e.src] = append(succ[e.src], e.dst)
-			zeroDelayIn[e.dst] = true
-		}
-	}
-	for i := range tx.merged {
-		m := &tx.merged[i]
-		if m.nver == 0 {
+	for i := range merged {
+		m := &merged[i]
+		hasIn := s.predOff[i+1] > s.predOff[i]
+		if int32(i) == noVersion {
 			return fmt.Errorf("core: task %s has no version", m.d.Name)
 		}
-		if m.d.Period > 0 && zeroDelayIn[i] {
+		if m.d.Period > 0 && s.zeroIn[i] {
 			return fmt.Errorf("core: task %s is data-activated but has a period; only root nodes carry periods (feedback into a periodic root needs delay tokens)", m.d.Name)
 		}
 		// Every rule deriveTaskLocked re-checks at commit must be caught
 		// here, or an admitted transaction would panic mid-commit. A
 		// sporadic task without a minimum inter-arrival time has no implicit
 		// deadline to fall back on, exactly like an aperiodic one.
-		if m.d.Period == 0 && !hasIn[i] && m.d.Deadline == 0 {
+		if m.d.Period == 0 && !hasIn && m.d.Deadline == 0 {
 			if m.d.Sporadic {
 				return fmt.Errorf("core: sporadic task %s needs a minimum inter-arrival time (Period) or an explicit deadline", m.d.Name)
 			}
@@ -835,33 +892,15 @@ func (tx *Reconfig) validate() error {
 		}
 	}
 
-	// Cycle check over zero-delay edges.
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make([]int, len(tx.merged))
-	var visit func(i int) error
-	visit = func(i int) error {
-		color[i] = grey
-		for _, d := range succ[i] {
-			switch color[d] {
-			case grey:
-				return fmt.Errorf("core: channel graph has a cycle through task %s", tx.merged[d].d.Name)
-			case white:
-				if err := visit(d); err != nil {
-					return err
+	// Cycle check over zero-delay edges, the only ones that can close one.
+	if len(s.succ) > 0 {
+		s.color = s.color[:n]
+		clear(s.color)
+		for i := range merged {
+			if s.color[i] == white {
+				if c := s.cycleFrom(int32(i)); c >= 0 {
+					return fmt.Errorf("core: channel graph has a cycle through task %s", merged[c].d.Name)
 				}
-			}
-		}
-		color[i] = black
-		return nil
-	}
-	for i := range tx.merged {
-		if color[i] == white {
-			if err := visit(i); err != nil {
-				return err
 			}
 		}
 	}
@@ -883,9 +922,9 @@ func (tx *Reconfig) validate() error {
 				return fmt.Errorf("core: topic %s still has publisher %s; remove it in the same transaction", tp.name, a.tasks[p].d.Name)
 			}
 		}
-		for _, s := range tp.subs {
-			if !leaving(s.task) {
-				return fmt.Errorf("core: topic %s still has subscriber %s; remove it in the same transaction", tp.name, a.tasks[s.task].d.Name)
+		for _, sub := range tp.subs {
+			if !leaving(sub.task) {
+				return fmt.Errorf("core: topic %s still has subscriber %s; remove it in the same transaction", tp.name, a.tasks[sub.task].d.Name)
 			}
 		}
 		for i := 0; i < a.nedges; i++ {
@@ -904,42 +943,108 @@ func (tx *Reconfig) validate() error {
 	return nil
 }
 
+// Cycle-check DFS colours.
+const (
+	white uint8 = iota
+	grey
+	black
+)
+
+// buildCSR lays the merged edges out as the per-row predecessor and
+// zero-delay successor lists (a stable counting sort, so each list keeps
+// edge order) and flags the rows with a zero-delay in-edge.
+func (s *reconfigScratch) buildCSR(n int) {
+	s.predOff, s.succOff = s.predOff[:n+1], s.succOff[:n+1]
+	s.zeroIn = s.zeroIn[:n]
+	clear(s.predOff)
+	clear(s.succOff)
+	clear(s.zeroIn)
+	np, ns := 0, 0
+	for _, e := range s.edges {
+		s.predOff[e.dst+1]++
+		np++
+		if e.delay == 0 {
+			s.succOff[e.src+1]++
+			s.zeroIn[e.dst] = true
+			ns++
+		}
+	}
+	for i := 0; i < n; i++ {
+		s.predOff[i+1] += s.predOff[i]
+		s.succOff[i+1] += s.succOff[i]
+	}
+	s.pred, s.succ = s.pred[:np], s.succ[:ns]
+	// Fill through the row starts as cursors: afterwards predOff[i] holds
+	// row i's end (= row i+1's start), so shift the offsets back by one.
+	for _, e := range s.edges {
+		s.pred[s.predOff[e.dst]] = e.src
+		s.predOff[e.dst]++
+		if e.delay == 0 {
+			s.succ[s.succOff[e.src]] = e.dst
+			s.succOff[e.src]++
+		}
+	}
+	copy(s.predOff[1:], s.predOff[:n])
+	copy(s.succOff[1:], s.succOff[:n])
+	s.predOff[0], s.succOff[0] = 0, 0
+}
+
+// cycleFrom runs the cycle-check DFS from merged row i over zero-delay
+// successors and returns the row whose grey colour closed a cycle, or -1.
+func (s *reconfigScratch) cycleFrom(i int32) int32 {
+	s.color[i] = grey
+	for _, d := range s.succ[s.succOff[i]:s.succOff[i+1]] {
+		switch s.color[d] {
+		case grey:
+			return d
+		case white:
+			if c := s.cycleFrom(d); c >= 0 {
+				return c
+			}
+		}
+	}
+	s.color[i] = black
+	return -1
+}
+
 // admit runs the online admission test over the target configuration,
 // keyed on Config.Mapping and Config.Priority. Tasks without WCET
 // information contribute no demand (they are admitted blindly — declare
 // version WCETs to make admission meaningful). The test covers the
 // post-drain steady state; the transient overlap while removed tasks drain
-// is bounded by one in-flight job per retiring task.
+// is bounded by one in-flight job per retiring task. The task set, keys and
+// cores are App-owned scratch.
 func (tx *Reconfig) admit() error {
 	a := tx.a
-	set := &taskset.Set{}
-	var keys []int64
-	var cores []int
+	s := &a.rs
+	set := &s.set
+	set.Tasks = set.Tasks[:0]
+	keys, cores := s.keys[:0], s.cores[:0]
+	partitioned := a.cfg.Mapping == MappingPartitioned
 	pl := a.env.Platform()
 	globalSpeed := 1.0
 	if pl != nil {
 		for i, wc := range a.cfg.WorkerCores {
 			if wc >= 0 && wc < len(pl.Cores) {
-				s := pl.Cores[wc].Speed
-				if i == 0 || s < globalSpeed {
-					globalSpeed = s
+				sp := pl.Cores[wc].Speed
+				if i == 0 || sp < globalSpeed {
+					globalSpeed = sp
 				}
 			}
 		}
 	}
-	seen := make([]bool, len(tx.merged))
-	for i := range tx.merged {
-		m := &tx.merged[i]
-		if m.wcet <= 0 {
+	for i := range s.merged {
+		m := &s.merged[i]
+		t := &a.tasks[m.id]
+		wcet := t.wcet
+		if wcet <= 0 {
 			continue
 		}
 		period := m.d.Period
 		deadline := m.d.Deadline
 		if period == 0 {
-			for k := range seen {
-				seen[k] = false
-			}
-			rp, rd := tx.rootTiming(i, seen)
+			a.walk.reset()
+			rp, rd := s.rootTiming(int32(i), &a.walk)
 			if rp == 0 {
 				continue // aperiodic with no periodic root: unanalysable, admitted blindly
 			}
@@ -952,28 +1057,24 @@ func (tx *Reconfig) admit() error {
 			deadline = period
 		}
 		speed := globalSpeed
-		if a.cfg.Mapping == MappingPartitioned && pl != nil {
+		if partitioned && pl != nil {
 			wc := a.cfg.WorkerCores[m.d.VirtCore]
 			if wc >= 0 && wc < len(pl.Cores) {
 				speed = pl.Cores[wc].Speed
 			}
 		}
-		wcet := m.wcet
 		if speed > 0 && speed != 1.0 {
 			wcet = time.Duration(float64(wcet) / speed)
 		}
 		// Accelerator sections run at the accelerator's speed, not the
-		// core's: the critical-section lengths stay nominal.
-		set.Tasks = append(set.Tasks, taskset.Task{
-			ID:       int(m.id),
-			Name:     m.d.Name,
-			Period:   period,
-			Deadline: deadline,
-			Offset:   m.d.ReleaseOffset,
-			WCET:     wcet,
-			Sporadic: m.d.Sporadic,
-			Accels:   m.accels,
-		})
+		// core's: the critical-section lengths stay nominal. Every field of
+		// the entry is written in place (capacity is MaxTasks): a composite
+		// literal would be built in a temporary and copied.
+		set.Tasks = set.Tasks[:len(set.Tasks)+1]
+		st := &set.Tasks[len(set.Tasks)-1]
+		st.ID, st.Name, st.Sporadic = int(m.id), m.d.Name, m.d.Sporadic
+		st.Period, st.Deadline, st.Offset, st.WCET = period, deadline, m.d.ReleaseOffset, wcet
+		st.Accels = a.accelUses(t)
 		switch a.cfg.Priority {
 		case PriorityRM:
 			keys = append(keys, int64(period))
@@ -987,11 +1088,14 @@ func (tx *Reconfig) admit() error {
 			// deadlines.
 			keys = append(keys, int64(deadline))
 		}
-		cores = append(cores, m.d.VirtCore)
+		if partitioned {
+			cores = append(cores, m.d.VirtCore)
+		}
 	}
+	s.keys, s.cores = keys, cores
 	adm := analysis.Admission{
 		Workers:       a.cfg.Workers,
-		Partitioned:   a.cfg.Mapping == MappingPartitioned,
+		Partitioned:   partitioned,
 		FixedPriority: a.cfg.Priority != PriorityEDF,
 		Cores:         cores,
 	}
@@ -1001,7 +1105,8 @@ func (tx *Reconfig) admit() error {
 	// Accelerator contention is priced into admission: the per-task PIP
 	// blocking bounds (worst lower-priority critical section per shared
 	// pool) join the schedulability test. Under EDF the blocking priority
-	// order is the deadline order (preemption levels).
+	// order is the deadline order (preemption levels). Both are nil when no
+	// task uses a pool.
 	terms := analysis.PIPBlocking(set, keys)
 	blocking := analysis.Durations(terms)
 	adm.Blocking = blocking
@@ -1050,27 +1155,24 @@ func anyBlocking(blocking []time.Duration) bool {
 
 // rootTiming walks the merged predecessor relation back to periodic roots
 // and returns the smallest root period with its matching effective deadline.
-func (tx *Reconfig) rootTiming(i int, seen []bool) (time.Duration, time.Duration) {
-	if seen[i] {
+func (s *reconfigScratch) rootTiming(i int32, seen *stampSet) (time.Duration, time.Duration) {
+	if !seen.mark(int(i)) {
 		return 0, 0
 	}
-	seen[i] = true
 	var bestP, bestD time.Duration
-	consider := func(p, d time.Duration) {
-		if p > 0 && (bestP == 0 || p < bestP) {
-			bestP, bestD = p, d
-		}
-	}
-	for _, pi := range tx.preds[i] {
-		m := &tx.merged[pi]
+	for _, pi := range s.pred[s.predOff[i]:s.predOff[i+1]] {
+		m := &s.merged[pi]
+		var p, d time.Duration
 		if m.d.Period > 0 {
-			d := m.d.Deadline
+			p, d = m.d.Period, m.d.Deadline
 			if d == 0 {
 				d = m.d.Period
 			}
-			consider(m.d.Period, d)
 		} else {
-			consider(tx.rootTiming(pi, seen))
+			p, d = s.rootTiming(pi, seen)
+		}
+		if p > 0 && (bestP == 0 || p < bestP) {
+			bestP, bestD = p, d
 		}
 	}
 	return bestP, bestD
@@ -1127,21 +1229,39 @@ func (tx *Reconfig) commitTables(started bool) trace.ReconfigRecord {
 		t.draining.Store(true)
 		rec.Retiring = append(rec.Retiring, t.d.Name)
 	}
-	// Severed edges die and their slots recycle. Their consumers are
-	// remembered: losing an in-edge can complete a surviving task's input
-	// set (its other edges already hold tokens), which must then fire via
-	// the scheduler's catch-up queue, not wait for a producer that may
-	// never complete again.
-	var severedDsts []TID
-	for i := 0; i < a.nedges; i++ {
-		e := &a.edges[i]
-		if !e.dead && tx.severs(e) {
-			e.dead = true
-			a.freeEdgeSlots = append(a.freeEdgeSlots, i)
-			severedDsts = append(severedDsts, e.dst)
+	// Severed edges die, leave their endpoints' adjacency lists and recycle
+	// their slots in slot order. They are found through the adjacency of
+	// the removed tasks and the disconnected sources, not a table scan.
+	// Their endpoints are remembered: losing an in-edge can complete a
+	// surviving task's input set (its other edges already hold tokens),
+	// which must then fire via the scheduler's catch-up queue, not wait for
+	// a producer that may never complete again.
+	s := &a.rs
+	severed := s.severed[:0]
+	for _, id := range tx.removeOrder {
+		t := &a.tasks[id]
+		severed = severEdges(severed, t.outEdges)
+		severed = severEdges(severed, t.inEdges)
+	}
+	for _, de := range tx.disconnects {
+		for _, e := range a.tasks[de.src].outEdges {
+			if !e.dead && e.dst == de.dst && e.ch == de.ch {
+				e.dead = true
+				severed = append(severed, e)
+			}
 		}
 	}
-	// Staged edges materialise, delay tokens seeded at the commit instant.
+	slices.SortFunc(severed, func(x, y *edge) int { return x.idx - y.idx })
+	ends := s.severedEnds[:0]
+	for _, e := range severed {
+		a.freeEdgeSlots = append(a.freeEdgeSlots, e.idx)
+		ends = append(ends, stagedEdge{src: e.src, dst: e.dst, ch: e.ch})
+		a.tasks[e.src].outEdges = unlinkEdge(a.tasks[e.src].outEdges, e)
+		a.tasks[e.dst].inEdges = unlinkEdge(a.tasks[e.dst].inEdges, e)
+	}
+	s.severed, s.severedEnds = severed, ends
+	// Staged edges materialise in their endpoints' adjacency lists, delay
+	// tokens seeded at the commit instant.
 	for _, se := range tx.stagedEdges {
 		e := a.allocEdgeSlot()
 		e.src, e.dst, e.ch, e.initial = se.src, se.dst, se.ch, se.delay
@@ -1155,15 +1275,28 @@ func (tx *Reconfig) commitTables(started bool) trace.ReconfigRecord {
 		for k := 0; k < se.delay; k++ {
 			e.pushStamp(now)
 		}
+		a.linkEdgeLocked(e)
+	}
+	// The graph was acyclic before the commit, so a new cycle must run
+	// through a staged zero-delay edge: search from those alone. Validation
+	// already rejected cycles; this guards the invariant.
+	for _, se := range tx.stagedEdges {
+		if se.delay > 0 {
+			continue
+		}
+		a.walk.reset()
+		if a.reachesLocked(se.dst, se.src) {
+			panic(fmt.Sprintf("core: validated transaction closes a cycle through task %s", a.tasks[se.src].d.Name))
+		}
 	}
 	// Retunes take effect from the next release; a shortened period pulls
 	// the next release in so activation latency is bounded by the new
 	// period, not the old one.
-	for _, id := range tx.retuneOrder {
+	for k, id := range tx.retuneOrder {
 		t := &a.tasks[id]
 		sh := a.shards[t.shard.Load()]
 		sh.mu.Lock()
-		t.d = tx.retunes[id]
+		t.d = tx.retuneData[k]
 		if started && t.d.Period > 0 && !t.d.Sporadic && t.nextRelease > now+t.d.Period {
 			t.nextRelease = now + t.d.Period
 		}
@@ -1212,12 +1345,31 @@ func (tx *Reconfig) commitTables(started bool) trace.ReconfigRecord {
 		tp.subs = append(tp.subs, subscription{task: ep.t, cursor: cursor})
 	}
 	a.pendingDeadTopics = append(a.pendingDeadTopics, tx.removeTopicOrder...)
-	// Derived scheduling state for the new epoch.
-	if err := a.rebuildGraphLocked(); err != nil {
-		panic(fmt.Sprintf("core: validated transaction failed graph rebuild: %v", err))
+	// Derived scheduling state for the new epoch, re-derived only where it
+	// can change: added and retuned tasks, the endpoints of staged and
+	// severed edges, and their transitive successors (a data-activated
+	// task inherits its effective deadline from its roots). Every other
+	// task keeps its parameters, its edges and its ancestors'.
+	a.walk.reset()
+	dirty := s.dirty[:0]
+	for _, id := range tx.addedTasks {
+		dirty = a.markDirty(dirty, id)
 	}
-	for i := 0; i < a.ntasks; i++ {
-		t := &a.tasks[i]
+	for _, id := range tx.retuneOrder {
+		dirty = a.markDirty(dirty, id)
+	}
+	for _, se := range tx.stagedEdges {
+		dirty = a.markDirty(a.markDirty(dirty, se.src), se.dst)
+	}
+	for _, se := range ends {
+		dirty = a.markDirty(a.markDirty(dirty, se.src), se.dst)
+	}
+	for k := 0; k < len(dirty); k++ {
+		for _, e := range dirty[k].outEdges {
+			dirty = a.markDirty(dirty, e.dst)
+		}
+	}
+	for _, t := range dirty {
 		if t.state != taskRunning && t.state != taskAdmitted {
 			continue
 		}
@@ -1225,6 +1377,7 @@ func (tx *Reconfig) commitTables(started bool) trace.ReconfigRecord {
 			panic(fmt.Sprintf("core: validated transaction failed derivation: %v", err))
 		}
 	}
+	s.dirty = dirty
 	a.refreshTopicsAfterCommitLocked(tx)
 	// Instant retirements (removed tasks with no in-flight jobs) and topic
 	// reaping.
@@ -1281,10 +1434,8 @@ func (tx *Reconfig) commitTables(started bool) trace.ReconfigRecord {
 			a.noteDataReadyLocked(&a.tasks[se.dst])
 		}
 	}
-	for _, dst := range severedDsts {
-		if int(dst) < a.ntasks {
-			a.noteDataReadyLocked(&a.tasks[dst])
-		}
+	for _, se := range ends {
+		a.noteDataReadyLocked(&a.tasks[se.dst])
 	}
 	if tx.mode != nil {
 		a.mode.Store(*tx.mode)
@@ -1297,12 +1448,77 @@ func (tx *Reconfig) commitTables(started bool) trace.ReconfigRecord {
 	if started {
 		a.publishViewLocked()
 	}
-	// The quiescent barrier's modelled price: a fixed commit cost plus the
-	// table scans the rebuild performed.
+	// The quiescent barrier's modelled price: a fixed commit cost plus a
+	// scan of the declaration tables (the model predates the targeted
+	// commit and keeps charging the full-rebuild price).
 	c.Charge(costs.ReconfigBarrier +
 		time.Duration(a.ntasks+a.nedges+a.ntopics)*costs.StaticScanPerItem)
 	rec.Pause = c.Now() - t0
 	return rec
+}
+
+// markDirty appends slot id to the re-derivation list unless the current
+// walk already marked it.
+func (a *App) markDirty(dirty []*task, id TID) []*task {
+	if a.walk.mark(int(id)) {
+		dirty = append(dirty, &a.tasks[id])
+	}
+	return dirty
+}
+
+// reachesLocked reports whether a path of zero-delay edges leads from slot
+// from to slot to, skipping slots the current walk visited. Caller holds
+// App.mu and reconfigMu and has reset the walk.
+func (a *App) reachesLocked(from, to TID) bool {
+	if from == to {
+		return true
+	}
+	if !a.walk.mark(int(from)) {
+		return false
+	}
+	for _, e := range a.tasks[from].outEdges {
+		if e.initial == 0 && a.reachesLocked(e.dst, to) {
+			return true
+		}
+	}
+	return false
+}
+
+// severEdges marks the still-alive edges of list dead and appends them to
+// severed.
+func severEdges(severed []*edge, list []*edge) []*edge {
+	for _, e := range list {
+		if !e.dead {
+			e.dead = true
+			severed = append(severed, e)
+		}
+	}
+	return severed
+}
+
+// linkEdgeLocked inserts an alive edge into its endpoints' adjacency lists
+// at its slot position, so the lists equal a full rebuild's (which appends
+// edges in slot order). Caller holds App.mu or runs at declaration time.
+func (a *App) linkEdgeLocked(e *edge) {
+	a.tasks[e.src].outEdges = insertEdge(a.tasks[e.src].outEdges, e)
+	a.tasks[e.dst].inEdges = insertEdge(a.tasks[e.dst].inEdges, e)
+}
+
+// insertEdge inserts e into a slot-ordered adjacency list.
+func insertEdge(list []*edge, e *edge) []*edge {
+	i := len(list)
+	for i > 0 && list[i-1].idx > e.idx {
+		i--
+	}
+	return slices.Insert(list, i, e)
+}
+
+// unlinkEdge removes e from an adjacency list, keeping the order.
+func unlinkEdge(list []*edge, e *edge) []*edge {
+	if i := slices.Index(list, e); i >= 0 {
+		return slices.Delete(list, i, i+1)
+	}
+	return list
 }
 
 // allocEdgeSlot reserves an edge slot, recycling severed ones first. Caller

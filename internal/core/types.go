@@ -164,6 +164,12 @@ type task struct {
 	id       TID
 	d        TData
 	versions []version // len grows to cfg.MaxVersionsPerTask
+	// wcet is the largest version WCET: the task's demand in admission,
+	// kept beside d so the admission pass does not visit the versions.
+	wcet time.Duration
+	// nameNext links the slots sharing d.Name in the App's name index
+	// (-1 ends the chain); guarded by App.namesMu like the index itself.
+	nameNext TID
 	// state is the reconfiguration lifecycle state; written under App.mu
 	// plus the task's home shard lock, read under either.
 	state taskState
@@ -248,6 +254,7 @@ type task struct {
 // tokens — the paper's announced future-work extension — start pre-seeded,
 // which both breaks cycles and lets a consumer fire ahead of its producer.
 type edge struct {
+	idx      int // slot in App.edges; adjacency lists are kept in slot order
 	src, dst TID
 	ch       CID
 	tokens   int
