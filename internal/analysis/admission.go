@@ -237,18 +237,3 @@ func densest(set *taskset.Set) *taskset.Task {
 	}
 	return best
 }
-
-// ScaleWCETs returns a copy of the set with every WCET divided by speed —
-// the nominal-to-core-local conversion admission applies when workers run
-// on cores slower than the reference speed 1.0.
-func ScaleWCETs(set *taskset.Set, speed float64) *taskset.Set {
-	if speed == 1.0 || speed <= 0 {
-		return set
-	}
-	out := &taskset.Set{Tasks: make([]taskset.Task, len(set.Tasks))}
-	copy(out.Tasks, set.Tasks)
-	for i := range out.Tasks {
-		out.Tasks[i].WCET = time.Duration(float64(out.Tasks[i].WCET) / speed)
-	}
-	return out
-}

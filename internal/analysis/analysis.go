@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -75,16 +74,6 @@ func ceilDiv(a, b int64) int64 {
 		return 0
 	}
 	return (a + b - 1) / b
-}
-
-// RMSchedulableLL applies the Liu & Layland sufficient bound for
-// rate-monotonic scheduling: U <= n(2^(1/n)-1).
-func RMSchedulableLL(s *taskset.Set) bool {
-	n := float64(s.Len())
-	if n == 0 {
-		return true
-	}
-	return s.TotalUtilization() <= n*(math.Pow(2, 1/n)-1)
 }
 
 // EDFSchedulableImplicit applies the exact U <= 1 test for preemptive EDF

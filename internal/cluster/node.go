@@ -141,15 +141,6 @@ type Node struct {
 	rejected, unroutable, nonInt64, overflow atomic.Uint64
 }
 
-// ID returns the node id.
-func (n *Node) ID() int { return n.id }
-
-// App returns the node's middleware instance.
-func (n *Node) App() *core.App { return n.app }
-
-// Clock returns the node's clock-discipline state.
-func (n *Node) Clock() *Clock { return &n.clock }
-
 // NowNS returns the node-local clock: environment time plus the
 // configured simulated skew.
 func (n *Node) NowNS() int64 { return int64(n.env.Now() + n.cfg.ClockSkew) }
@@ -377,7 +368,7 @@ func (n *Node) deliver(c rt.Ctx, sh *shard, f *Frame) {
 	case FrameSyncResp:
 		t4 := n.NowNS()
 		offset := ((f.T2 - f.T1) + (f.SentAt - t4)) / 2
-		n.clock.note(offset, t4)
+		n.clock.note(offset)
 		return
 	}
 

@@ -84,27 +84,6 @@ func (q *readyQueue) fix(j *job) {
 	q.down(j.heapIdx)
 }
 
-// remove extracts an arbitrary job (used when a job is pulled for an
-// accelerator waitlist).
-func (q *readyQueue) remove(j *job) bool {
-	if !q.contains(j) {
-		return false
-	}
-	i := j.heapIdx
-	q.n--
-	last := q.heap[q.n]
-	q.heap[q.n] = nil
-	j.heapIdx = -1
-	if i == q.n {
-		return true
-	}
-	q.heap[i] = last
-	last.heapIdx = i
-	q.up(i)
-	q.down(last.heapIdx)
-	return true
-}
-
 func (q *readyQueue) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2

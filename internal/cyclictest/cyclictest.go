@@ -87,10 +87,10 @@ func RunNative(seed int64, pl *platform.Platform, k kernel.Model, opts Options) 
 	res := &Result{
 		Kernel:   k.Name(),
 		Variant:  "RTapps",
-		Combined: trace.NewStat("cyclictest", false),
+		Combined: trace.NewStat("cyclictest"),
 	}
 	for i := 0; i < opts.Threads; i++ {
-		st := trace.NewStat(fmt.Sprintf("thread-%d", i), false)
+		st := trace.NewStat(fmt.Sprintf("thread-%d", i))
 		res.PerThread = append(res.PerThread, st)
 		interval := opts.Interval + time.Duration(i)*opts.Distance
 		core := i % pl.NumCores()
@@ -156,7 +156,7 @@ func RunYASMIN(seed int64, pl *platform.Platform, k kernel.Model, opts Options) 
 	res := &Result{
 		Kernel:   k.Name(),
 		Variant:  "YASMIN",
-		Combined: trace.NewStat("cyclictest", false),
+		Combined: trace.NewStat("cyclictest"),
 	}
 	type meas struct {
 		st   *trace.Stat
@@ -164,7 +164,7 @@ func RunYASMIN(seed int64, pl *platform.Platform, k kernel.Model, opts Options) 
 	}
 	measures := make([]*meas, opts.Threads)
 	for i := 0; i < opts.Threads; i++ {
-		m := &meas{st: trace.NewStat(fmt.Sprintf("thread-%d", i), false)}
+		m := &meas{st: trace.NewStat(fmt.Sprintf("thread-%d", i))}
 		measures[i] = m
 		res.PerThread = append(res.PerThread, m.st)
 		interval := opts.Interval + time.Duration(i)*opts.Distance

@@ -261,7 +261,7 @@ func printSeries(w io.Writer, series []Fig2Series, xname string) error {
 
 // fig2SummaryStat is reused by tests: mean avg overhead per system.
 func fig2SummaryStat(rows []Fig2Row, system string) (avg time.Duration, max time.Duration) {
-	st := trace.NewStat(system, false)
+	st := trace.NewStat(system)
 	for _, r := range rows {
 		if r.System == system {
 			st.Add(r.AvgOvh)

@@ -1,11 +1,11 @@
 // Package lockfree implements the synchronisation primitives YASMIN's
-// lock-free configuration relies on (paper Section 3.5, "Locking", citing
-// Mellor-Crummey & Scott, TOCS 1991): test-and-set and test-and-test-and-set
-// spinlocks, a ticket lock, an MCS queue lock, and a sense-reversing
-// barrier, plus fixed-capacity ring buffers used by the wall-clock runtime's
-// ready queues and FIFO channels.
+// lock-free paths rely on (paper Section 3.5, "Locking", citing
+// Mellor-Crummey & Scott, TOCS 1991): the test-and-set spinlock behind the
+// LockFree configuration, and a bounded multi-producer single-consumer ring
+// that stages topic publishes on the wall-clock backend, carries telemetry
+// records to the exporter and queues cluster ingress frames.
 //
-// All types are allocation-free after construction: the middleware's
+// Both types are allocation-free after construction: the middleware's
 // "no dynamic allocation on the scheduling path" rule (MISRA spirit) holds
 // for the Go port too, which the tests assert with testing.AllocsPerRun.
 package lockfree
@@ -15,21 +15,12 @@ import (
 	"sync/atomic"
 )
 
-// Locker is the minimal lock interface shared by all spinlock flavours.
-type Locker interface {
-	Lock()
-	Unlock()
-	TryLock() bool
-}
-
 // TASLock is a plain test-and-set spinlock. Under contention every probe
 // bounces the cache line, which is exactly the behaviour the Mollison &
 // Anderson baseline exhibits in the Fig. 2 experiment.
 type TASLock struct {
 	v atomic.Uint32
 }
-
-var _ Locker = (*TASLock)(nil)
 
 // Lock spins until the lock is acquired.
 func (l *TASLock) Lock() {
@@ -38,149 +29,5 @@ func (l *TASLock) Lock() {
 	}
 }
 
-// TryLock attempts a single test-and-set.
-func (l *TASLock) TryLock() bool { return l.v.CompareAndSwap(0, 1) }
-
 // Unlock releases the lock.
 func (l *TASLock) Unlock() { l.v.Store(0) }
-
-// TTASLock is a test-and-test-and-set spinlock: it spins on a read-only
-// probe and only attempts the atomic swap when the lock looks free, reducing
-// coherence traffic versus TASLock.
-type TTASLock struct {
-	v atomic.Uint32
-}
-
-var _ Locker = (*TTASLock)(nil)
-
-// Lock spins (read-mostly) until acquired.
-func (l *TTASLock) Lock() {
-	for {
-		if l.v.Load() == 0 && l.v.CompareAndSwap(0, 1) {
-			return
-		}
-		runtime.Gosched()
-	}
-}
-
-// TryLock attempts one acquisition.
-func (l *TTASLock) TryLock() bool {
-	return l.v.Load() == 0 && l.v.CompareAndSwap(0, 1)
-}
-
-// Unlock releases the lock.
-func (l *TTASLock) Unlock() { l.v.Store(0) }
-
-// TicketLock grants the lock in FIFO order: each acquirer takes a ticket and
-// waits for the grant counter to reach it. FIFO ordering bounds waiting time,
-// which matters for WCET analysis (the paper's predictability argument).
-type TicketLock struct {
-	next  atomic.Uint64
-	owner atomic.Uint64
-}
-
-var _ Locker = (*TicketLock)(nil)
-
-// Lock takes a ticket and waits its turn.
-func (l *TicketLock) Lock() {
-	t := l.next.Add(1) - 1
-	for l.owner.Load() != t {
-		runtime.Gosched()
-	}
-}
-
-// TryLock acquires only if nobody holds or waits for the lock.
-func (l *TicketLock) TryLock() bool {
-	o := l.owner.Load()
-	return l.next.CompareAndSwap(o, o+1)
-}
-
-// Unlock passes the lock to the next ticket holder.
-func (l *TicketLock) Unlock() { l.owner.Add(1) }
-
-// MCSLock is the Mellor-Crummey & Scott queue lock: each waiter spins on its
-// own node, so contention generates no shared-line traffic and handoff is
-// FIFO. Nodes are provided by the caller (typically one per thread,
-// preallocated), keeping the lock allocation-free.
-type MCSLock struct {
-	tail atomic.Pointer[MCSNode]
-}
-
-// MCSNode is a per-acquirer queue node. A node must not be reused until its
-// Unlock has returned.
-type MCSNode struct {
-	next   atomic.Pointer[MCSNode]
-	locked atomic.Bool
-}
-
-// Lock enqueues the node and spins on it until granted.
-func (l *MCSLock) Lock(n *MCSNode) {
-	n.next.Store(nil)
-	n.locked.Store(true)
-	pred := l.tail.Swap(n)
-	if pred == nil {
-		return // lock was free
-	}
-	pred.next.Store(n)
-	for n.locked.Load() {
-		runtime.Gosched()
-	}
-}
-
-// TryLock acquires only when the queue is empty.
-func (l *MCSLock) TryLock(n *MCSNode) bool {
-	n.next.Store(nil)
-	n.locked.Store(false)
-	return l.tail.CompareAndSwap(nil, n)
-}
-
-// Unlock hands the lock to the successor, if any.
-func (l *MCSLock) Unlock(n *MCSNode) {
-	succ := n.next.Load()
-	if succ == nil {
-		if l.tail.CompareAndSwap(n, nil) {
-			return // no successor
-		}
-		// A successor is linking in; wait for the pointer to appear.
-		for {
-			succ = n.next.Load()
-			if succ != nil {
-				break
-			}
-			runtime.Gosched()
-		}
-	}
-	succ.locked.Store(false)
-}
-
-// SenseBarrier is a sense-reversing centralized barrier for a fixed number
-// of parties (Mellor-Crummey & Scott, Algorithm 8).
-type SenseBarrier struct {
-	parties int32
-	count   atomic.Int32
-	sense   atomic.Bool
-}
-
-// NewSenseBarrier creates a barrier for n parties.
-func NewSenseBarrier(n int) *SenseBarrier {
-	if n < 1 {
-		panic("lockfree: barrier needs at least one party")
-	}
-	b := &SenseBarrier{parties: int32(n)}
-	b.count.Store(int32(n))
-	return b
-}
-
-// Await blocks until all parties arrive. localSense must alternate per
-// caller; use a *bool initialised to false and pass it on every call.
-func (b *SenseBarrier) Await(localSense *bool) {
-	*localSense = !*localSense
-	if b.count.Add(-1) == 0 {
-		b.count.Store(b.parties)
-		b.sense.Store(*localSense)
-		return
-	}
-	for b.sense.Load() != *localSense {
-		runtime.Gosched()
-	}
-}

@@ -9,9 +9,6 @@ type WaitQ struct {
 	ps []*Proc
 }
 
-// Len returns the number of waiting processes.
-func (q *WaitQ) Len() int { return len(q.ps) }
-
 // Wait parks the calling process on the queue until signalled or interrupted.
 // On interrupt the process is removed from the queue and Wait returns true.
 func (q *WaitQ) Wait(p *Proc) (interrupted bool) {
@@ -43,14 +40,6 @@ func (q *WaitQ) Signal(e *Engine) *Proc {
 	q.ps = q.ps[1:]
 	e.unparkNoToken(p)
 	return p
-}
-
-// Broadcast unparks all waiting processes.
-func (q *WaitQ) Broadcast(e *Engine) {
-	for _, p := range q.ps {
-		e.unparkNoToken(p)
-	}
-	q.ps = q.ps[:0]
 }
 
 // Mutex is a simulated sleeping mutex with FIFO handoff. Lock/Unlock must be
@@ -90,9 +79,6 @@ func (m *Mutex) Unlock(p *Proc) {
 	m.owner = nil
 	m.waiters.Signal(p.eng)
 }
-
-// Owner returns the current holder, or nil.
-func (m *Mutex) Owner() *Proc { return m.owner }
 
 // SpinMutex models a test-and-set spinlock: waiting burns CPU time
 // (Compute) in slices of spinQuantum until the lock frees up, which is how
@@ -142,19 +128,6 @@ func (m *SpinMutex) Lock(p *Proc) (spun time.Duration) {
 	return p.Now().Sub(start)
 }
 
-// TryLock attempts a single test-and-set.
-func (m *SpinMutex) TryLock(p *Proc) bool {
-	if m.owner != nil {
-		m.spins++
-		p.Charge(m.retryCost())
-		return false
-	}
-	m.owner = p
-	m.acquires++
-	p.Charge(m.acquireCost())
-	return true
-}
-
 // Unlock releases the spinlock.
 func (m *SpinMutex) Unlock(p *Proc) {
 	if m.owner != p {
@@ -163,35 +136,5 @@ func (m *SpinMutex) Unlock(p *Proc) {
 	m.owner = nil
 }
 
-// Owner returns the current holder, or nil.
-func (m *SpinMutex) Owner() *Proc { return m.owner }
-
 // Stats returns the number of failed probes and successful acquisitions.
 func (m *SpinMutex) Stats() (spins, acquires uint64) { return m.spins, m.acquires }
-
-// Barrier is a simulated sense-reversing barrier for a fixed party count.
-type Barrier struct {
-	parties int
-	arrived int
-	waiters WaitQ
-}
-
-// NewBarrier creates a barrier for n parties.
-func NewBarrier(n int) *Barrier {
-	if n < 1 {
-		panic("sim: barrier needs at least one party")
-	}
-	return &Barrier{parties: n}
-}
-
-// Await blocks until all parties have arrived. The last arriver releases
-// everyone and does not block.
-func (b *Barrier) Await(p *Proc) {
-	b.arrived++
-	if b.arrived == b.parties {
-		b.arrived = 0
-		b.waiters.Broadcast(p.eng)
-		return
-	}
-	b.waiters.Wait(p)
-}

@@ -70,25 +70,6 @@ type Event struct {
 	CEpoch   ClusterEpochRecord
 }
 
-// At returns the event's timestamp (the record's own instant field).
-func (e *Event) At() int64 {
-	switch e.Kind {
-	case KindJob:
-		return int64(e.Job.Finish)
-	case KindReconfig:
-		return int64(e.Reconfig.At)
-	case KindRetire:
-		return int64(e.Retire.At)
-	case KindAccel:
-		return int64(e.Accel.At)
-	case KindFrame:
-		return e.Frame.At
-	case KindClusterEpoch:
-		return e.CEpoch.At
-	}
-	return 0
-}
-
 // --- JSONL encoding -------------------------------------------------------
 //
 // One JSON object per line, tagged with "type". The encoder is built on

@@ -27,9 +27,6 @@ func NewFileSink(path string) (*FileSink, error) {
 	return &FileSink{f: f, path: path}, nil
 }
 
-// Path returns the file path the sink writes to.
-func (s *FileSink) Path() string { return s.path }
-
 // WriteBatch encodes the batch into one buffer and writes it with a single
 // call.
 func (s *FileSink) WriteBatch(batch []Event) error {
@@ -96,13 +93,6 @@ func (s *MemorySink) Events() []Event {
 	return out
 }
 
-// Summary returns the trailer counters and whether Finish ran.
-func (s *MemorySink) Summary() (Stats, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats, s.done
-}
-
 // Stream builds a replay Stream from the retained events (the in-memory
 // equivalent of ReplayFile on a JSONL export).
 func (s *MemorySink) Stream() *Stream {
@@ -136,6 +126,3 @@ func (s *DiscardSink) WriteBatch(batch []Event) error {
 
 // Finish is a no-op.
 func (s *DiscardSink) Finish(Stats) error { return nil }
-
-// Count returns the number of events discarded.
-func (s *DiscardSink) Count() uint64 { return s.events.Load() }

@@ -10,7 +10,7 @@ import (
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
 func TestStatSummary(t *testing.T) {
-	s := NewStat("lat", false)
+	s := NewStat("lat")
 	for _, d := range []time.Duration{ms(5), ms(1), ms(9), ms(5)} {
 		s.Add(d)
 	}
@@ -27,39 +27,10 @@ func TestStatSummary(t *testing.T) {
 }
 
 func TestStatEmpty(t *testing.T) {
-	s := NewStat("empty", false)
+	s := NewStat("empty")
 	min, max, mean := s.Summary()
 	if min != 0 || max != 0 || mean != 0 {
 		t.Error("empty stat must summarise to zeros")
-	}
-}
-
-func TestStatPercentiles(t *testing.T) {
-	s := NewStat("p", true)
-	for i := 1; i <= 100; i++ {
-		s.Add(time.Duration(i) * time.Microsecond)
-	}
-	p50, err := s.Percentile(50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p50 != 50*time.Microsecond {
-		t.Errorf("p50 = %v, want 50µs", p50)
-	}
-	p99, err := s.Percentile(99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p99 != 99*time.Microsecond {
-		t.Errorf("p99 = %v, want 99µs", p99)
-	}
-	if _, err := s.Percentile(0); err == nil {
-		t.Error("want error for p=0")
-	}
-	noKeep := NewStat("nk", false)
-	noKeep.Add(ms(1))
-	if _, err := noKeep.Percentile(50); err == nil {
-		t.Error("want error when samples not retained")
 	}
 }
 
